@@ -1,6 +1,7 @@
 // Package detrand enforces schemble's determinism contract: inside the
 // packages whose outputs must replay bit-identically from a seed (the
-// simulator, models, scheduler, and the training/eval pipeline), no code
+// lifecycle engine, the simulator, models, scheduler, and the
+// training/eval pipeline), no code
 // may read the wall clock, use the globally-seeded math/rand, or let Go's
 // randomized map iteration order feed results. Randomness must flow from
 // an injected schemble/internal/rng.Source and time from the virtual
@@ -20,6 +21,7 @@ import (
 // runtime legitimately anchors virtual time to the wall clock, but every
 // such site must carry an audited //schemble:wallclock annotation.
 var criticalPkgs = map[string]bool{
+	"schemble/internal/engine":      true,
 	"schemble/internal/sim":         true,
 	"schemble/internal/model":       true,
 	"schemble/internal/ensemble":    true,

@@ -1,15 +1,16 @@
-// Package enginepure mechanizes the engine-agnostic contract that
-// internal/qos and internal/rcache established by convention: a package
-// shared verbatim by the concurrent serving runtime (internal/serve)
-// and the discrete-event simulator (internal/sim) must be a pure state
-// machine over the caller's virtual clock. Concretely, inside a package
-// on the declared list there may be no goroutine launches, no channel
-// operations, no wall-clock or timer reads, no global randomness, and
-// no package-level mutable state — any of those would let one engine's
-// scheduling or wall time leak into shared decisions and break the
-// bit-identical sim<->serve equivalence the paper's reproduction rests
-// on. Mutexes are explicitly allowed: they serialize, they do not
-// decide.
+// Package enginepure mechanizes the engine-pure contract of the
+// lifecycle core (internal/engine) and the controllers it drives
+// (internal/qos, internal/rcache, internal/adapt, internal/cluster):
+// code that decides on behalf of both executors — the concurrent serving
+// runtime (internal/serve) and the discrete-event simulator
+// (internal/sim) — must be a pure state machine over the caller's
+// virtual clock. Concretely, inside a package on the declared list there
+// may be no goroutine launches, no channel operations, no wall-clock or
+// timer reads, no global randomness, and no package-level mutable state
+// — any of those would let one executor's scheduling or wall time leak
+// into shared decisions and break the bit-identical sim<->serve
+// equivalence the paper's reproduction rests on. Mutexes are explicitly
+// allowed: they serialize, they do not decide.
 package enginepure
 
 import (
@@ -21,11 +22,11 @@ import (
 	"schemble/internal/analysis"
 )
 
-// Packages is the declared list of engine-agnostic packages. Growing the
-// shared core (the ROADMAP's cluster tier and online adaptation will
-// both add engine-agnostic policy code) means adding the new package
-// here, not copying the contract into a comment.
+// Packages is the declared list of engine-pure packages. Growing the
+// shared core means adding the new package here, not copying the
+// contract into a comment.
 var Packages = map[string]bool{
+	"schemble/internal/engine":  true,
 	"schemble/internal/qos":     true,
 	"schemble/internal/rcache":  true,
 	"schemble/internal/cluster": true,
@@ -36,8 +37,8 @@ var Packages = map[string]bool{
 var Analyzer = &analysis.Analyzer{
 	Name: "enginepure",
 	Doc: "forbid goroutines, channel operations, wall-clock/timer reads, global " +
-		"randomness, and package-level mutable state in engine-agnostic packages " +
-		"shared by serve and sim",
+		"randomness, and package-level mutable state in the engine-pure packages " +
+		"that decide for both serve and sim",
 	Directives: []string{"enginepure-ok"},
 	Run:        run,
 }

@@ -114,10 +114,7 @@ func (s *Server) runBatch(ctx context.Context, m model.Model, inj *model.Faulty,
 		}
 	}
 	// taskOK[i] is whether live[i] produced an output; taskDone[i] marks
-	// the task that completed its request's last outstanding model (it
-	// must be decided inside the same critical section as the remaining
-	// decrement, or a sibling task on another model could observe zero
-	// concurrently and two events would both claim completion).
+	// the task that completed its request's last outstanding model.
 	taskOK := make([]bool, len(live))
 	taskDone := make([]bool, len(live))
 	if n := len(live); n > 0 {
@@ -131,11 +128,10 @@ func (s *Server) runBatch(ctx context.Context, m model.Model, inj *model.Faulty,
 		s.batchHist[k][n-1].Add(1)
 		s.mstats[k].executed.Add(uint64(n))
 		rc.executed.Add(uint64(n))
-		if ok && s.adapt != nil {
-			//schemble:wallclock observation is timestamped at completion in virtual time against the Start anchor
-			vnow := time.Duration(float64(time.Since(s.start)) / s.scale) //schemble:guardedby-ok start is written once in Start before the workers launch; reads are ordered by goroutine creation
+		if a := s.eng.Adapt(); ok && a != nil {
+			_, vnow := s.clock()
 			for range live {
-				s.adapt.ObserveLatency(vnow, k, r, vlat)
+				a.ObserveLatency(vnow, k, r, vlat)
 			}
 		}
 		for i, t := range live {
@@ -152,18 +148,7 @@ func (s *Server) runBatch(ctx context.Context, m model.Model, inj *model.Faulty,
 				s.mstats[k].failures.Add(1)
 				rc.failures.Add(1)
 			}
-			t.req.mu.Lock()
-			if t.req.state != stateResolved {
-				t.req.remaining--
-				if tok {
-					t.req.outs[k] = out
-					t.req.ok = t.req.ok.With(k)
-				} else {
-					t.req.failed++
-				}
-				taskDone[i] = t.req.remaining == 0
-			}
-			t.req.mu.Unlock()
+			taskDone[i] = t.req.record(k, out, tok)
 		}
 	}
 	// Report every task — executed, failed, or skipped — so the
@@ -217,16 +202,15 @@ func (s *Server) executeBatch(ctx context.Context, m model.Model, inj *model.Fau
 		s.srcMu.Lock()
 		lat := m.SampleLatency(s.src)
 		s.srcMu.Unlock()
+		// The batch's start: drift in virtual time, faults in wall time.
+		wall, vnow := s.clock()
 		if s.cfg.Drift != nil {
-			//schemble:wallclock the drift schedule is evaluated at the batch's virtual start time
-			vnow := time.Duration(float64(time.Since(s.start)) / s.scale) //schemble:guardedby-ok start is written once in Start before the workers launch; reads are ordered by goroutine creation
 			lat = time.Duration(float64(lat) * s.cfg.Drift(k, vnow))
 		}
 		lat = curve.Latency(lat, n)
 		dec := model.Decision{Kind: model.FaultNone, LatencyFactor: 1}
 		if inj != nil {
-			//schemble:wallclock fault injection decides transient/crash windows in wall time, matching model.Faulty's schedule
-			dec = inj.Attempt(time.Now(), lat)
+			dec = inj.Attempt(wall, lat)
 		}
 		if dec.Kind == model.FaultCrash || dec.Kind == model.FaultTransient {
 			if dec.Kind == model.FaultCrash {
@@ -234,20 +218,15 @@ func (s *Server) executeBatch(ctx context.Context, m model.Model, inj *model.Fau
 			} else {
 				c.transient.Add(1)
 			}
-			retry, alive := s.backoffUntil(ctx, deadline, attempt)
-			if !alive {
-				return 0, false, false
+			if retry, alive := s.retry(ctx, c, deadline, attempt); !retry {
+				return 0, false, alive
 			}
-			if retry {
-				c.retries.Add(1)
-				if s.obs != nil {
-					for _, t := range live {
-						t.req.obsRetries.Add(1)
-					}
+			if s.obs != nil {
+				for _, t := range live {
+					t.req.obsRetries.Add(1)
 				}
-				continue
 			}
-			return 0, false, true
+			continue
 		}
 		if dec.Kind == model.FaultStraggler {
 			c.stragglers.Add(1)
@@ -263,8 +242,7 @@ func (s *Server) executeBatch(ctx context.Context, m model.Model, inj *model.Fau
 			}
 		}
 		if s.tol.TaskTimeout {
-			//schemble:wallclock the batch's timeout budget is the wall-clock distance to the latest live deadline
-			until := time.Until(deadline)
+			until := deadline.Sub(wall)
 			if until <= 0 {
 				stop()
 				obsTimeout()
@@ -282,7 +260,7 @@ func (s *Server) executeBatch(ctx context.Context, m model.Model, inj *model.Fau
 		case <-primary.C:
 			stop()
 			// The batch's virtual service time: each member task observes
-			// the full batch duration (mirrors sim's per-task events).
+			// the full batch duration.
 			return time.Duration(float64(lat) * dec.LatencyFactor), true, true
 		case <-cutoffC:
 			// Every live deadline has passed mid-batch: abandon the kernel

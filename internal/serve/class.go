@@ -87,14 +87,14 @@ func (s *Server) Classed() bool { return s.classStats != nil }
 
 // Load returns the overload controller's smoothed pressure estimate
 // (~0 idle, 1 at the target backlog, unbounded above).
-func (s *Server) Load() float64 { return s.qosCtl.Load() }
+func (s *Server) Load() float64 { return s.eng.QoS().Load() }
 
 // RetryAfterSeconds derives the Retry-After hint for 503 responses from
 // the load estimator: roughly how many wall-clock seconds until the
 // smoothed backlog drains, never less than 1. Monotone in the observed
 // load, so clients back off harder the deeper the overload.
 func (s *Server) RetryAfterSeconds() int {
-	wall := time.Duration(float64(s.qosCtl.RetryAfter()) * s.scale)
+	wall := time.Duration(float64(s.eng.QoS().RetryAfter()) * s.scale)
 	secs := int((wall + time.Second - 1) / time.Second)
 	if secs < 1 {
 		secs = 1

@@ -36,11 +36,15 @@
 // instead of missing. Both configs default to off, in which case the
 // runtime behaves exactly like the fault-free original; a panicking
 // Predict is always contained (the task fails, the worker survives).
+//
+// Admission, scoring, the cache gate, the planning pass and settlement
+// are internal/engine's; the runtime is its concurrent executor.
 package serve
 
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -50,6 +54,7 @@ import (
 	"schemble/internal/core"
 	"schemble/internal/dataset"
 	"schemble/internal/discrepancy"
+	"schemble/internal/engine"
 	"schemble/internal/ensemble"
 	"schemble/internal/model"
 	"schemble/internal/obsv"
@@ -61,11 +66,6 @@ import (
 
 // ErrNotStarted is returned by Drain when Start was never called.
 var ErrNotStarted = errors.New("serve: server not started")
-
-// blockHorizon is how far into the future an open-breaker (or crashed)
-// model's availability is pushed when the scheduler is consulted: far
-// enough that no deadline-feasible plan can include it.
-const blockHorizon = time.Hour
 
 // Config configures a Server.
 type Config struct {
@@ -192,28 +192,13 @@ const (
 
 // request tracks one in-flight query.
 type request struct {
-	sample   *dataset.Sample
-	arrived  time.Time
+	// tk is the engine's per-request state: written by SubmitClass before
+	// the request is shared, then only by the coordinator.
+	tk     engine.Ticket
+	sample *dataset.Sample
+	// deadline is the wall-clock deadline that timers, per-attempt
+	// timeouts and retry budgets run against.
 	deadline time.Time
-	score    float64
-	// rawScore is the predictor's uncalibrated score (equal to score
-	// when adaptation is off); the recalibration reservoir pairs it with
-	// the observed discrepancy on clean full-ensemble resolves.
-	rawScore float64
-
-	// class is the request's class index (-1 when the runtime is
-	// classless); level is the degradation-ladder service level the
-	// request was committed at (written under mu at commit time — a
-	// committed level above LevelFull marks the result Degraded).
-	class int
-	level qos.Level
-
-	// cacheable marks a request whose cache lookup missed (written in
-	// SubmitClass before the request is shared, so resolve's fill-back
-	// read is ordered by the event-channel send); cacheKey is the entry
-	// it fills on a clean resolve.
-	cacheable bool
-	cacheKey  int
 
 	mu sync.Mutex
 	//schemble:guardedby mu lifecycle state machine
@@ -222,12 +207,11 @@ type request struct {
 	outs []model.Output
 	//schemble:guardedby mu outstanding task count
 	remaining int
-	// ok is the mask of models whose task succeeded; failed counts tasks
-	// that failed permanently (retries exhausted, crash, timeout, panic).
+	// ok is the mask of models whose task succeeded; committed models
+	// outside it failed permanently (retries exhausted, crash, timeout,
+	// panic) or are still running.
 	//schemble:guardedby mu success mask
 	ok ensemble.Subset
-	//schemble:guardedby mu permanent-failure count
-	failed int
 	//schemble:guardedby mu committed subset
 	subset ensemble.Subset
 	done   chan Result
@@ -242,6 +226,9 @@ type request struct {
 	obsTimeouts atomic.Uint32
 }
 
+// Ticket implements engine.Request.
+func (r *request) Ticket() *engine.Ticket { return &r.tk }
+
 // advance moves the lifecycle forward; it never regresses and never leaves
 // the terminal resolved state.
 func (r *request) advance(to reqState) {
@@ -250,6 +237,24 @@ func (r *request) advance(to reqState) {
 		r.state = to
 	}
 	r.mu.Unlock()
+}
+
+// record files model k's task outcome and reports whether it was the
+// request's last outstanding task. The decision is made inside the same
+// critical section as the decrement, or sibling tasks on other models
+// could both observe zero and claim completion.
+func (r *request) record(k int, out model.Output, ok bool) (done bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.state == stateResolved {
+		return false
+	}
+	r.remaining--
+	if ok {
+		r.outs[k] = out
+		r.ok = r.ok.With(k)
+	}
+	return r.remaining == 0
 }
 
 func (r *request) isResolved() bool {
@@ -333,34 +338,19 @@ type Server struct {
 	srcMu sync.Mutex
 
 	// obs collects decision traces and latency histograms; nil (all hooks
-	// skipped) unless Config.Obs enables it. reqSeq numbers submissions for
-	// trace IDs.
+	// skipped) unless Config.Obs enables it. reqSeq numbers submissions:
+	// the engine's stable request IDs and the trace IDs.
 	obs    *obsv.Observer
 	reqSeq atomic.Uint64
 
-	// qosCtl is the overload controller: load estimator, degradation
-	// ladder, and (in classed mode) per-class admission. Always non-nil;
-	// classless configs get an estimator-only controller that admits
-	// everything. classStats holds per-class outcome counters (nil when
-	// classless); degradedSched plans LevelGreedy classes with a cheap
-	// greedy planner — a dedicated instance, since scheduler scratch is
-	// not shareable with cfg.Scheduler.
-	qosCtl        *qos.Controller
-	classStats    []classCounters
-	degradedSched *core.Greedy
+	// eng owns admission, scoring, the result cache, online adaptation,
+	// the planning pass and settlement. classStats holds per-class
+	// outcome counters (nil when classless).
+	eng        *engine.Engine[*request]
+	classStats []classCounters
 
-	// cache is the shared result cache, nil when Config.Cache is the zero
-	// value (caching off).
-	cache *rcache.Cache
-
-	// adapt is the online-adaptation engine, nil when Config.Adapt is
-	// the zero value (adaptation off); baseExec is the frozen planning
-	// cost vector the coordinator copies its working exec slice from.
-	adapt    *adapt.Engine
-	baseExec []time.Duration
-
-	// Health counters behind the Stats snapshot. buffered/inflight mirror
-	// the coordinator's private structures.
+	// Health counters behind the Stats snapshot. buffered/inflight are
+	// gauges of the engine's buffer and the coordinator's in-flight set.
 	nSubmitted atomic.Uint64
 	nServed    atomic.Uint64
 	nDegraded  atomic.Uint64
@@ -515,7 +505,6 @@ func New(cfg Config) *Server {
 		events:   make(chan event, 4*cfg.QueueDepth),
 		src:      rng.New(cfg.Seed ^ 0x5e7e),
 		obs:      obsv.NewObserver(cfg.Obs),
-		cache:    rcache.New(cfg.Cache),
 		mstats:   make([]modelCounters, m),
 		breakers: make([]breakerState, m),
 		replicas: make([]int, m),
@@ -530,14 +519,8 @@ func New(cfg Config) *Server {
 		s.replicas[k] = r
 		s.rstats[k] = make([]replicaCounters, r)
 	}
-	adm := cfg.Admission
-	if adm.Capacity <= 0 {
-		adm.Capacity = bottleneckCapacity(cfg.Ensemble, s.replicas)
-	}
-	s.qosCtl = qos.New(qos.Config{Classes: cfg.Classes, Tuning: adm})
 	if len(cfg.Classes) > 0 {
 		s.classStats = make([]classCounters, len(cfg.Classes))
-		s.degradedSched = &core.Greedy{Order: core.EDF}
 	}
 	if maxBatch > 1 {
 		s.batchHist = make([][]atomic.Uint64, m)
@@ -552,20 +535,28 @@ func New(cfg Config) *Server {
 	// latency jitter does not turn feasible-looking plans into deadline
 	// misses. With batching on, a task's capacity cost is the amortized
 	// per-item share of a full batch, so the scheduler sees the
-	// throughput gain. The coordinator copies its working exec slice
-	// from this; with adaptation on, adapt.ExecInto rescales it by the
-	// live inflation factor each planning pass.
-	profiled := make([]time.Duration, m)
-	s.baseExec = make([]time.Duration, m)
+	// throughput gain. With adaptation on, the engine rescales its
+	// working copy by the live inflation factor each planning pass.
+	exec := make([]time.Duration, m)
 	for k, md := range cfg.Ensemble.Models {
-		profiled[k] = md.MeanLatency()
 		e := time.Duration(float64(md.MeanLatency()) * 1.1)
 		if maxBatch > 1 {
 			e = cfg.Batching.curve(k).Amortized(e, maxBatch)
 		}
-		s.baseExec[k] = e
+		exec[k] = e
 	}
-	s.adapt = adapt.New(cfg.Adapt, profiled, s.baseExec, s.replicas)
+	s.eng = engine.New[*request](engine.Config{
+		Ensemble:  cfg.Ensemble,
+		Scheduler: cfg.Scheduler,
+		Rewarder:  cfg.Rewarder,
+		Estimator: cfg.Estimator,
+		Replicas:  s.replicas,
+		Exec:      exec,
+		Classes:   cfg.Classes,
+		Admission: cfg.Admission,
+		Cache:     cfg.Cache,
+		Adapt:     cfg.Adapt,
+	})
 	for k, md := range cfg.Ensemble.Models {
 		fc := cfg.Faults
 		if k < len(cfg.FaultsPerModel) {
@@ -588,29 +579,6 @@ func New(cfg Config) *Server {
 		s.faulty[k] = model.NewFaulty(md, fc)
 	}
 	return s
-}
-
-// bottleneckCapacity estimates the fleet's sustainable full-ensemble
-// service rate in requests per virtual second: the slowest model's pool
-// throughput, min over k of replicas[k] / meanLatency[k]. This is the
-// admission controller's default Capacity; an explicit
-// AdmissionConfig.Capacity overrides it.
-func bottleneckCapacity(e *ensemble.Ensemble, replicas []int) float64 {
-	capacity := 0.0
-	for k, md := range e.Models {
-		lat := md.MeanLatency().Seconds()
-		if lat <= 0 {
-			continue
-		}
-		c := float64(replicas[k]) / lat
-		if capacity <= 0 || c < capacity {
-			capacity = c
-		}
-	}
-	if capacity <= 0 {
-		capacity = 1
-	}
-	return capacity
 }
 
 // Start launches the workers and the coordinator. It returns immediately;
@@ -687,6 +655,16 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
+// clock reads the wall clock once and maps the instant onto virtual time:
+// the wall distance from the Start anchor, descaled by TimeScale. Every
+// wall-to-virtual conversion in the runtime goes through here.
+func (s *Server) clock() (wall time.Time, virtual time.Duration) {
+	//schemble:wallclock the runtime's one wall-clock read; virtual time derives from it against the Start anchor
+	wall = time.Now()
+	//schemble:guardedby-ok start is written once in Start before any goroutine that reads the clock launches, and Submit reads it only after observing the started context under lifeMu
+	return wall, time.Duration(float64(wall.Sub(s.start)) / s.scale)
+}
+
 func (s *Server) cancelRuntime() {
 	s.lifeMu.Lock()
 	cancel := s.cancel
@@ -718,19 +696,19 @@ func (s *Server) Stats() Stats {
 		Draining:    draining,
 	}
 	st.Resolved = st.Served + st.Degraded + st.Missed + st.Rejected
-	load, ladder, snaps := s.qosCtl.Snapshot()
+	load, ladder, snaps := s.eng.QoS().Snapshot()
 	st.Load = load
 	st.Ladder = ladder
 	st.LadderState = qos.LadderName(ladder)
 	if s.classStats != nil {
 		st.Classes = s.classStatsFrom(snaps)
 	}
-	if s.cache != nil {
-		cs := s.cache.Snapshot()
+	if c := s.eng.Cache(); c != nil {
+		cs := c.Snapshot()
 		st.Cache = &cs
 	}
-	if s.adapt != nil {
-		st.Adapt = s.adapt.Snapshot()
+	if a := s.eng.Adapt(); a != nil {
+		st.Adapt = a.Snapshot()
 	}
 	for k, ch := range s.taskCh {
 		st.QueueDepth[k] = len(ch)
@@ -841,31 +819,22 @@ func (s *Server) SubmitClass(sample *dataset.Sample, deadline time.Duration, cla
 	if ctx == nil {
 		panic("serve: Submit before Start")
 	}
-	ci := s.qosCtl.ClassIndex(class)
-	if ci >= 0 && deadline <= 0 {
-		deadline = s.qosCtl.Class(ci).Deadline
-	}
-	//schemble:wallclock arrival is wall-anchored; deadlines and virtual timestamps are derived from it via the configured TimeScale
-	now := time.Now()
-	req := &request{
-		sample:   sample,
-		arrived:  now,
-		deadline: now.Add(time.Duration(float64(deadline) * s.scale)),
-		class:    ci,
-		done:     make(chan Result, 1),
-	}
+	wall, now := s.clock()
+	req := &request{sample: sample, done: make(chan Result, 1)}
+	s.eng.Open(&req.tk, int(s.reqSeq.Add(1)), class, now, deadline)
+	req.deadline = wall.Add(time.Duration(float64(req.tk.Deadline-now) * s.scale))
+	ci := req.tk.Class
 	if s.obs != nil {
-		queued := time.Duration(float64(now.Sub(s.start)) / s.scale)
 		req.tr = &obsv.DecisionTrace{
-			ID:       s.reqSeq.Add(1),
+			ID:       uint64(req.tk.ID),
 			SampleID: sample.ID,
 			CameraID: sample.CameraID,
-			Queued:   queued,
-			Deadline: queued + deadline,
+			Queued:   now,
+			Deadline: req.tk.Deadline,
 		}
 		if ci >= 0 {
-			req.tr.Class = s.qosCtl.Class(ci).Name
-			req.tr.Ladder = s.qosCtl.Ladder()
+			req.tr.Class = s.eng.QoS().Class(ci).Name
+			req.tr.Ladder = s.eng.QoS().Ladder()
 		}
 	}
 	s.nSubmitted.Add(1)
@@ -873,85 +842,49 @@ func (s *Server) SubmitClass(sample *dataset.Sample, deadline time.Duration, cla
 		s.classStats[ci].submitted.Add(1)
 	}
 	if draining || ctx.Err() != nil {
-		s.resolve(req, Result{Missed: true, Rejected: true})
-		return req.done
+		return s.reject(req)
 	}
-	if ci >= 0 && !s.qosCtl.Admit(time.Duration(float64(now.Sub(s.start))/s.scale), ci) {
+	if !s.eng.Admit(now, &req.tk) {
 		// Admission-controlled shed: an explicit rejection decided by
 		// class quota and ladder state, before any scoring work.
 		s.classStats[ci].shed.Add(1)
-		s.resolve(req, Result{Missed: true, Rejected: true})
-		return req.done
+		return s.reject(req)
 	}
-	req.score = 0.5
-	if s.cfg.Estimator != nil {
-		req.score = s.cfg.Estimator.Predict(sample)
-	}
-	req.rawScore = req.score
-	if s.adapt != nil {
-		//schemble:wallclock converts a wall instant to virtual time against the Start anchor
-		vnow := time.Duration(float64(time.Since(s.start)) / s.scale)
-		s.adapt.ObserveScore(vnow, req.rawScore)
-		req.score = s.adapt.Calibrate(req.rawScore)
-	}
+	v, hit := s.eng.Score(now, &req.tk, sample)
 	req.advance(stateScored)
 	if req.tr != nil {
-		req.tr.Score = req.score
-		//schemble:wallclock converts a wall instant to virtual time against the Start anchor
-		req.tr.Scored = time.Duration(float64(time.Since(s.start)) / s.scale)
+		req.tr.Score = req.tk.Score
+		_, req.tr.Scored = s.clock()
+		req.tr.Cache = req.tk.Cache
 	}
-	if s.cache != nil {
-		//schemble:wallclock converts a wall instant to virtual time against the Start anchor
-		vnow := time.Duration(float64(time.Since(s.start)) / s.scale)
-		v, key, outcome := s.cache.Lookup(vnow, sample.Features, req.score)
-		if req.tr != nil {
-			req.tr.Cache = outcome
-		}
-		// Exhaustive over the cache taxonomy (enforced by the
-		// exhaustiveoutcome analyzer): a new cache outcome must decide its
-		// scheduling consequence here.
-		switch outcome {
-		case obsv.CacheOutcomeHit:
-			// Zero-cost plan: the cached answer resolves immediately,
-			// skipping the buffer, the scheduler, dispatch, and the
-			// deadline timer entirely.
-			s.resolve(req, Result{
-				Output: v.Output,
-				Subset: v.Subset,
-				Cached: true,
-				//schemble:wallclock latency is the wall-clock distance from arrival, descaled to virtual time
-				Latency: time.Duration(float64(time.Since(req.arrived)) / s.scale),
-			})
-			return req.done
-		case obsv.CacheOutcomeMiss:
-			// Cacheable: fill the entry when the request resolves cleanly.
-			req.cacheable, req.cacheKey = true, key
-		case obsv.CacheOutcomeBypass:
-			// Too hard (or unkeyable): the ensemble always runs.
-		}
+	if hit {
+		// Zero-cost plan: the cached answer resolves immediately,
+		// skipping the buffer, the scheduler, dispatch, and the deadline
+		// timer entirely.
+		_, vnow := s.clock()
+		s.resolve(req, Result{Output: v.Output, Subset: v.Subset, Cached: true, Latency: vnow - req.tk.Arrival})
+		return req.done
 	}
 	select {
 	case s.events <- event{kind: evSubmit, req: req}:
 	default:
 		// Event loop saturated: reject explicitly instead of blocking the
 		// caller or dropping the request on the floor.
-		s.resolve(req, Result{Missed: true, Rejected: true})
-		return req.done
+		return s.reject(req)
 	}
 	if ctx.Err() != nil {
 		// Raced shutdown: the coordinator's drain sweep may already be
 		// past; resolve directly rather than leaving the caller to the
 		// deadline-timer fallback. resolve's exactly-once guarantee makes
 		// the duplicate path harmless.
-		s.resolve(req, Result{Missed: true, Rejected: true})
-		return req.done
+		return s.reject(req)
 	}
 	// The timer turns the deadline into an event so the coordinator can
 	// resolve never-scheduled requests. Delivery is lossless: the timer
 	// goroutine blocks until the coordinator takes the event, and falls
 	// back to resolving directly once the runtime is shutting down.
-	//schemble:wallclock deadline timers fire in wall time; the deadline itself was derived from the virtual budget at Submit
-	time.AfterFunc(time.Until(req.deadline), func() {
+	wall, _ = s.clock()
+	time.AfterFunc(req.deadline.Sub(wall), func() {
 		if req.isResolved() {
 			return
 		}
@@ -1018,23 +951,11 @@ func (s *Server) runTask(ctx context.Context, m model.Model, inj *model.Faulty, 
 			s.mstats[k].failures.Add(1)
 			rc.failures.Add(1)
 			failed = true
-		} else if s.adapt != nil {
-			//schemble:wallclock observation is timestamped at completion in virtual time against the Start anchor
-			vnow := time.Duration(float64(time.Since(s.start)) / s.scale) //schemble:guardedby-ok start is written once in Start before the workers launch; reads are ordered by goroutine creation
-			s.adapt.ObserveLatency(vnow, k, r, vlat)
+		} else if a := s.eng.Adapt(); a != nil {
+			_, vnow := s.clock()
+			a.ObserveLatency(vnow, k, r, vlat)
 		}
-		t.req.mu.Lock()
-		if t.req.state != stateResolved {
-			t.req.remaining--
-			if ok {
-				t.req.outs[k] = out
-				t.req.ok = t.req.ok.With(k)
-			} else {
-				t.req.failed++
-			}
-			done = t.req.remaining == 0
-		}
-		t.req.mu.Unlock()
+		done = t.req.record(k, out, ok)
 	}
 	select {
 	case s.events <- event{kind: evTaskDone, req: t.req, k: k, done: done, ran: ran, failed: failed}:
@@ -1058,15 +979,15 @@ func (s *Server) execute(ctx context.Context, m model.Model, inj *model.Faulty, 
 		s.srcMu.Lock()
 		lat := m.SampleLatency(s.src)
 		s.srcMu.Unlock()
+		// The attempt's start: the drift schedule is evaluated in virtual
+		// time, fault windows in wall time (model.Faulty's schedule).
+		wall, vnow := s.clock()
 		if s.cfg.Drift != nil {
-			//schemble:wallclock the drift schedule is evaluated at the attempt's virtual start time
-			vnow := time.Duration(float64(time.Since(s.start)) / s.scale) //schemble:guardedby-ok start is written once in Start before the workers launch; reads are ordered by goroutine creation
 			lat = time.Duration(float64(lat) * s.cfg.Drift(k, vnow))
 		}
 		dec := model.Decision{Kind: model.FaultNone, LatencyFactor: 1}
 		if inj != nil {
-			//schemble:wallclock fault injection decides transient/crash windows in wall time, matching model.Faulty's schedule
-			dec = inj.Attempt(time.Now(), lat)
+			dec = inj.Attempt(wall, lat)
 		}
 		if dec.Kind == model.FaultCrash || dec.Kind == model.FaultTransient {
 			if dec.Kind == model.FaultCrash {
@@ -1074,18 +995,13 @@ func (s *Server) execute(ctx context.Context, m model.Model, inj *model.Faulty, 
 			} else {
 				c.transient.Add(1)
 			}
-			retry, alive := s.backoff(ctx, r, attempt)
-			if !alive {
-				return out, 0, false, false
+			if retry, alive := s.retry(ctx, c, r.deadline, attempt); !retry {
+				return out, 0, false, alive
 			}
-			if retry {
-				c.retries.Add(1)
-				if s.obs != nil {
-					r.obsRetries.Add(1)
-				}
-				continue
+			if s.obs != nil {
+				r.obsRetries.Add(1)
 			}
-			return out, 0, false, true
+			continue
 		}
 		d := time.Duration(float64(lat) * dec.LatencyFactor * s.scale)
 		// The winning attempt's virtual service time: the primary's
@@ -1106,16 +1022,14 @@ func (s *Server) execute(ctx context.Context, m model.Model, inj *model.Faulty, 
 				hlat = m.SampleLatency(s.src)
 				s.srcMu.Unlock()
 				if s.cfg.Drift != nil {
-					//schemble:wallclock the drift schedule is evaluated at the attempt's virtual start time
-					vnow := time.Duration(float64(time.Since(s.start)) / s.scale) //schemble:guardedby-ok start is written once in Start before the workers launch; reads are ordered by goroutine creation
 					hlat = time.Duration(float64(hlat) * s.cfg.Drift(k, vnow))
 				}
 				// The hedging threshold consumes the live inflation factor:
 				// under drift the frozen mean would fire hedges on every
 				// (now-normal) slow attempt.
 				mean := float64(m.MeanLatency())
-				if s.adapt != nil {
-					mean *= s.adapt.Inflation(k)
+				if a := s.eng.Adapt(); a != nil {
+					mean *= a.Inflation(k)
 				}
 				hd := time.Duration((s.tol.HedgeFactor*mean + float64(hlat)) * s.scale)
 				if hd < d {
@@ -1138,8 +1052,7 @@ func (s *Server) execute(ctx context.Context, m model.Model, inj *model.Faulty, 
 			}
 		}
 		if s.tol.TaskTimeout {
-			//schemble:wallclock per-attempt timeout budget is the wall-clock distance to the request deadline
-			until := time.Until(r.deadline)
+			until := r.deadline.Sub(wall)
 			if until <= 0 {
 				stop()
 				c.timeouts.Add(1)
@@ -1180,31 +1093,20 @@ func (s *Server) execute(ctx context.Context, m model.Model, inj *model.Faulty, 
 		}
 		// Predict panicked: contained by safePredict; treat like a
 		// transient fault.
-		retry, alive := s.backoff(ctx, r, attempt)
-		if !alive {
-			return out, 0, false, false
+		if retry, alive := s.retry(ctx, c, r.deadline, attempt); !retry {
+			return out, 0, false, alive
 		}
-		if retry {
-			c.retries.Add(1)
-			if s.obs != nil {
-				r.obsRetries.Add(1)
-			}
-			continue
+		if s.obs != nil {
+			r.obsRetries.Add(1)
 		}
-		return out, 0, false, true
 	}
 }
 
-// backoff decides whether a failed attempt may retry, sleeping the
-// jittered exponential backoff first. alive is false when the runtime
-// context was cancelled during the sleep.
-func (s *Server) backoff(ctx context.Context, r *request, attempt int) (retry, alive bool) {
-	return s.backoffUntil(ctx, r.deadline, attempt)
-}
-
-// backoffUntil is backoff against an explicit deadline — for batches, the
-// latest live deadline in the batch.
-func (s *Server) backoffUntil(ctx context.Context, deadline time.Time, attempt int) (retry, alive bool) {
+// retry decides whether a failed attempt may retry before deadline (for
+// batches, the latest live deadline), sleeping the jittered exponential
+// backoff first and counting the retry in the model's counters c. alive
+// is false when the runtime context was cancelled during the sleep.
+func (s *Server) retry(ctx context.Context, c *modelCounters, deadline time.Time, attempt int) (retry, alive bool) {
 	if attempt >= s.tol.MaxRetries {
 		return false, true
 	}
@@ -1213,8 +1115,7 @@ func (s *Server) backoffUntil(ctx context.Context, deadline time.Time, attempt i
 	jit := time.Duration(s.src.Float64() * float64(base))
 	s.srcMu.Unlock()
 	d := time.Duration(float64(base<<uint(attempt)+jit) * s.scale)
-	//schemble:wallclock retry budget check: backoff is only worth paying if it still fits before the wall-clock deadline
-	if s.tol.TaskTimeout && time.Now().Add(d).After(deadline) {
+	if wall, _ := s.clock(); s.tol.TaskTimeout && wall.Add(d).After(deadline) {
 		// No budget left to retry inside the deadline.
 		return false, true
 	}
@@ -1224,8 +1125,9 @@ func (s *Server) backoffUntil(ctx context.Context, deadline time.Time, attempt i
 		t.Stop()
 		return false, false
 	case <-t.C:
-		return true, true
 	}
+	c.retries.Add(1)
+	return true, true
 }
 
 // safePredict runs m.Predict, converting a panic into a failed attempt so
@@ -1241,302 +1143,198 @@ func (s *Server) safePredict(m model.Model, k int, sample *dataset.Sample) (out 
 	return m.Predict(sample), true
 }
 
-// coordinate owns the buffer and the scheduler.
-func (s *Server) coordinate(ctx context.Context) {
-	var buffer []*request
-	m := s.cfg.Ensemble.M()
-	exec := make([]time.Duration, m)
-	copy(exec, s.baseExec)
+// coordinator is the goroutine that drives the engine: it feeds the
+// engine's buffer, runs its planning pass after every event, settles
+// completed requests, and is the pass's executor over the replica task
+// queues.
+type coordinator struct {
+	s *Server
+	// exec is the engine's working planning cost vector.
+	exec []time.Duration
 	// busyUntil[k][r] approximates, in unscaled virtual time since start,
 	// when replica r of model k drains the work committed to it;
 	// pending[k] counts dispatched-but-unfinished tasks so completions can
-	// re-anchor the estimate on reality (mirroring sim.onTaskDone) instead
-	// of accumulating jitter.
-	busyUntil := make([][]time.Duration, m)
-	for k := range busyUntil {
-		busyUntil[k] = make([]time.Duration, s.replicas[k])
-	}
-	pending := make([]int, m)
+	// re-anchor the estimate on reality instead of accumulating jitter.
+	busyUntil [][]time.Duration
+	pending   []int
 	// inflight tracks committed-but-unfinished requests so shutdown can
 	// resolve them and drain knows when it is done.
-	inflight := make(map[*request]bool)
+	inflight map[*request]bool
+	// now and blocked are the current pass's clock and health mask,
+	// recorded in decision traces.
+	now     time.Duration
+	blocked ensemble.Subset
+}
+
+// Backlog implements engine.Executor: every task in a model queue or a
+// forming batch.
+func (c *coordinator) Backlog() int {
+	n := 0
+	for k := range c.s.taskCh {
+		n += len(c.s.taskCh[k]) + int(c.s.forming[k].Load())
+	}
+	return n
+}
+
+// Capacity implements engine.Executor.
+func (c *coordinator) Capacity() core.Capacity { return c.busyUntil }
+
+// Blocked implements engine.Executor: models behind an open breaker or
+// inside a crash-recovery window.
+func (c *coordinator) Blocked(now time.Duration) ensemble.Subset {
+	s := c.s
+	c.blocked = s.breakerBlocked(now)
+	if s.faulty != nil {
+		// Crash-recovery windows are wall-clock scheduled by the injector.
+		wall, _ := s.clock()
+		for k, f := range s.faulty {
+			if f != nil && f.Down(wall) {
+				c.blocked = c.blocked.With(k)
+			}
+		}
+	}
+	return c.blocked
+}
+
+// Idle implements engine.Executor: some replica of model k has drained
+// its committed work by now.
+func (c *coordinator) Idle(now time.Duration, k int) bool {
+	for _, slot := range c.busyUntil[k] {
+		if slot <= now {
+			return true
+		}
+	}
+	return false
+}
+
+// Dispatch implements engine.Executor: it locks r onto sub and enqueues
+// one task per model. It refuses when a chosen model's task queue is full
+// (dispatch would leak) or r resolved meanwhile; the coordinator is the
+// channels' only sender, so the pre-flight check cannot race another
+// producer.
+func (c *coordinator) Dispatch(r *request, sub ensemble.Subset) bool {
+	s := c.s
+	for k, ch := range s.taskCh {
+		if sub.Contains(k) && len(ch) == cap(ch) {
+			return false
+		}
+	}
+	r.mu.Lock()
+	if r.state == stateResolved {
+		r.mu.Unlock()
+		return false
+	}
+	r.subset = sub
+	r.remaining = sub.Size()
+	r.outs = make([]model.Output, len(s.taskCh))
+	r.state = stateCommitted
+	if r.tr != nil {
+		c.traceCommit(r.tr, r.tk.Score, sub)
+	}
+	r.mu.Unlock()
+	c.inflight[r] = true
+	for k, ch := range s.taskCh {
+		if !sub.Contains(k) {
+			continue
+		}
+		// The task lands on the earliest-available replica slot, exactly
+		// the assumption the scheduler's capacity model (core.Capacity)
+		// made when it judged feasibility.
+		slots := c.busyUntil[k]
+		slot := 0
+		for i, v := range slots {
+			if v < slots[slot] {
+				slot = i
+			}
+		}
+		start := max(slots[slot], c.now)
+		select {
+		case ch <- &task{req: r, k: k}:
+			slots[slot] = start + c.exec[k]
+			c.pending[k]++
+		default:
+			// Unreachable given the pre-flight check; if it ever happens,
+			// roll back instead of leaking: busyUntil is untouched for
+			// this model, inflight forgets the request, it resolves as
+			// rejected, and workers skip its already-queued sibling tasks.
+			delete(c.inflight, r)
+			s.reject(r)
+		}
+	}
+	return true
+}
+
+// Reject implements engine.Executor.
+func (c *coordinator) Reject(r *request) { c.s.reject(r) }
+
+// traceCommit records the decision context — what the runtime looked like
+// when the subset was locked in. Called with the request mutex held.
+func (c *coordinator) traceCommit(tr *obsv.DecisionTrace, score float64, sub ensemble.Subset) {
+	s := c.s
+	tr.Committed = c.now
+	tr.Subset = sub.Models()
+	tr.Alternatives = s.alternatives(score)
+	tr.QueueDepths = make([]int, len(s.taskCh))
+	tr.Forming = make([]int, len(s.taskCh))
+	for k, ch := range s.taskCh {
+		tr.QueueDepths[k] = len(ch)
+		tr.Forming[k] = int(s.forming[k].Load())
+	}
+	// Per-model earliest replica availability: the capacity signal the
+	// scheduler keyed its feasibility checks on.
+	tr.BusyUntil = make([]time.Duration, len(c.busyUntil))
+	for k, slots := range c.busyUntil {
+		tr.BusyUntil[k] = slices.Min(slots)
+	}
+	tr.Blocked = c.blocked.Models()
+	if a := s.eng.Adapt(); a != nil {
+		tr.Drift = a.ActiveDrift()
+	}
+}
+
+// settle resolves a committed request from the outputs it holds, by the
+// engine's settlement rule. Task outputs land on indices outside the
+// success mask read here, so the aggregation never races a still-running
+// sibling task.
+func (c *coordinator) settle(r *request, now time.Duration, late bool) {
+	r.mu.Lock()
+	outs, ok, sub := r.outs, r.ok, r.subset
+	r.mu.Unlock()
+	v := c.s.eng.Settle(now, &r.tk, sub, ok, outs, late)
+	delete(c.inflight, r)
+	c.syncGauges()
+	c.s.resolve(r, Result{Output: v.Output, Subset: v.Subset, Missed: v.Missed, Degraded: v.Degraded, Latency: now - r.tk.Arrival})
+}
+
+// syncGauges publishes the buffer and in-flight sizes to Stats.
+func (c *coordinator) syncGauges() {
+	c.s.nBuffered.Store(int64(c.s.eng.Len()))
+	c.s.nInflight.Store(int64(len(c.inflight)))
+}
+
+// coordinate runs the coordinator until the runtime stops.
+func (s *Server) coordinate(ctx context.Context) {
+	c := &coordinator{
+		s:         s,
+		exec:      s.eng.Exec(),
+		busyUntil: make([][]time.Duration, len(s.taskCh)),
+		pending:   make([]int, len(s.taskCh)),
+		inflight:  make(map[*request]bool),
+	}
+	for k := range c.busyUntil {
+		c.busyUntil[k] = make([]time.Duration, s.replicas[k])
+	}
 	draining := false
-
-	now := func() time.Duration {
-		//schemble:wallclock converts a wall instant to virtual time against the Start anchor
-		return time.Duration(float64(time.Since(s.start)) / s.scale) //schemble:guardedby-ok start is written once in Start before this goroutine launches; reads are ordered by goroutine creation
-	}
-	syncGauges := func() {
-		s.nBuffered.Store(int64(len(buffer)))
-		s.nInflight.Store(int64(len(inflight)))
-	}
-	latency := func(r *request) time.Duration {
-		//schemble:wallclock latency is the wall-clock distance from arrival, descaled to virtual time
-		return time.Duration(float64(time.Since(r.arrived)) / s.scale)
-	}
-
-	// lastSlack is the fraction of the previous planning pass's buffer the
-	// scheduler left unplaced — the controller's "capacity exhausted"
-	// signal alongside the raw backlog.
-	lastSlack := 0.0
-
-	dispatch := func() {
-		// Shed requests that resolved while buffered (direct deadline
-		// delivery during saturation).
-		live := buffer[:0]
-		for _, r := range buffer {
-			if !r.isResolved() {
-				live = append(live, r)
-			}
-		}
-		buffer = live
-		t := now()
-		// Feed the overload controller: outstanding work everywhere in the
-		// engine (buffer + model queues + forming batches) plus the last
-		// pass's scheduler slack. The estimate drives admission and
-		// Retry-After only — never the plan — so classless results are
-		// untouched.
-		backlog := len(buffer)
-		for k := range s.taskCh {
-			backlog += len(s.taskCh[k]) + int(s.forming[k].Load())
-		}
-		s.qosCtl.Observe(t, backlog, lastSlack)
-		if s.adapt != nil {
-			// Refresh the planning cost vector from the live quantile
-			// sketches so the whole pass sees one consistent cost view.
-			s.adapt.ExecInto(exec)
-		}
-		if len(buffer) == 0 {
-			syncGauges()
-			return
-		}
-		// Health consultation: models behind an open breaker or inside a
-		// crash-recovery window are pushed beyond any feasible deadline so
-		// the scheduler plans subsets around them.
-		blocked := s.breakerBlocked(t)
-		if s.faulty != nil {
-			//schemble:wallclock crash-recovery windows are wall-clock scheduled by the fault injector
-			wallNow := time.Now()
-			for k, f := range s.faulty {
-				if f != nil && f.Down(wallNow) {
-					blocked = blocked.With(k)
-				}
-			}
-		}
-		mkAvail := func() core.Capacity {
-			avail := core.Capacity(busyUntil)
-			if blocked != ensemble.Empty {
-				avail = append(core.Capacity(nil), busyUntil...)
-				for _, k := range blocked.Models() {
-					slots := make([]time.Duration, len(busyUntil[k]))
-					for i := range slots {
-						slots[i] = t + blockHorizon
-					}
-					avail[k] = slots
-				}
-			}
-			return avail
-		}
-		mkInfos := func(idx []int) []core.QueryInfo {
-			infos := make([]core.QueryInfo, len(idx))
-			for pi, bi := range idx {
-				r := buffer[bi]
-				infos[pi] = core.QueryInfo{
-					ID: pi,
-					//schemble:guardedby-ok start is written once in Start before the coordinator launches; reads are ordered by goroutine creation
-					Arrival: time.Duration(float64(r.arrived.Sub(s.start)) / s.scale),
-					//schemble:guardedby-ok start is written once in Start before the coordinator launches; reads are ordered by goroutine creation
-					Deadline: time.Duration(float64(r.deadline.Sub(s.start)) / s.scale),
-					Score:    r.score,
-				}
-			}
-			return infos
-		}
-		// removed marks requests that left the buffer this pass (committed
-		// or rejected); everything else stays buffered.
-		removed := make(map[*request]bool)
-		commitGroup := func(idx []int, lvls []qos.Level, plan core.Plan) {
-			for pi, bi := range idx {
-				r := buffer[bi]
-				// Unhealthy models are stripped even if the scheduler chose
-				// them; a subset emptied by the mask stays buffered.
-				sub := plan.Subset(pi) &^ blocked
-				if sub == ensemble.Empty {
-					continue
-				}
-				if lvls != nil && lvls[pi] > qos.LevelFull {
-					// Degradation ladder: cap the planned subset to the
-					// class's service level, keeping the cheapest models.
-					sub = qos.TruncateSubset(sub, qos.SubsetCap(lvls[pi], m), exec)
-				}
-				// Commit only when at least one chosen model has a free
-				// replica.
-				free := false
-			freeScan:
-				for _, k := range sub.Models() {
-					for _, slot := range busyUntil[k] {
-						if slot <= t {
-							free = true
-							break freeScan
-						}
-					}
-				}
-				if !free {
-					continue
-				}
-				// A saturated task queue means dispatch would leak: reject
-				// explicitly before committing anything. The coordinator is
-				// the channels' only sender, so this pre-flight check cannot
-				// race another producer.
-				saturated := false
-				for _, k := range sub.Models() {
-					if len(s.taskCh[k]) == cap(s.taskCh[k]) {
-						saturated = true
-						break
-					}
-				}
-				if saturated {
-					removed[r] = true
-					s.resolve(r, Result{Missed: true, Rejected: true})
-					continue
-				}
-				r.mu.Lock()
-				if r.state == stateResolved {
-					r.mu.Unlock()
-					removed[r] = true
-					continue
-				}
-				r.subset = sub
-				r.remaining = sub.Size()
-				r.outs = make([]model.Output, m)
-				r.state = stateCommitted
-				if lvls != nil {
-					r.level = lvls[pi]
-				}
-				if r.tr != nil {
-					// Decision context: what the runtime looked like when the
-					// subset was locked in.
-					r.tr.Committed = t
-					r.tr.Subset = sub.Models()
-					r.tr.Alternatives = s.alternatives(r.score)
-					depths := make([]int, len(s.taskCh))
-					forming := make([]int, len(s.taskCh))
-					for k, ch := range s.taskCh {
-						depths[k] = len(ch)
-						forming[k] = int(s.forming[k].Load())
-					}
-					r.tr.QueueDepths = depths
-					r.tr.Forming = forming
-					// Per-model earliest replica availability: the capacity
-					// signal the scheduler keyed its feasibility checks on.
-					bu := make([]time.Duration, m)
-					for k, slots := range busyUntil {
-						bu[k] = minSlot(slots)
-					}
-					r.tr.BusyUntil = bu
-					r.tr.Blocked = blocked.Models()
-					if s.adapt != nil {
-						r.tr.Drift = s.adapt.ActiveDrift()
-					}
-				}
-				r.mu.Unlock()
-				removed[r] = true
-				inflight[r] = true
-				for _, k := range sub.Models() {
-					// The task lands on the earliest-available replica slot,
-					// exactly the assumption the scheduler's capacity model
-					// (core.Capacity) made when it judged feasibility.
-					slot := 0
-					for i, v := range busyUntil[k] {
-						if v < busyUntil[k][slot] {
-							slot = i
-						}
-					}
-					start := busyUntil[k][slot]
-					if start < t {
-						start = t
-					}
-					select {
-					case s.taskCh[k] <- &task{req: r, k: k}:
-						busyUntil[k][slot] = start + exec[k]
-						pending[k]++
-					default:
-						// Unreachable given the pre-flight check; if it ever
-						// happens, roll back instead of leaking: busyUntil is
-						// untouched for this model, inflight forgets the
-						// request, it resolves as rejected, and workers skip
-						// its already-queued sibling tasks.
-						delete(inflight, r)
-						s.resolve(r, Result{Missed: true, Rejected: true})
-					}
-				}
-			}
-		}
-		if s.classStats == nil {
-			// Classless: one plan over the whole buffer with the configured
-			// scheduler — exactly the pre-class runtime.
-			idx := make([]int, len(buffer))
-			for i := range idx {
-				idx[i] = i
-			}
-			commitGroup(idx, nil, s.cfg.Scheduler.Schedule(t, mkInfos(idx), mkAvail(), exec, s.cfg.Rewarder))
-		} else {
-			// Classed: partition the buffer by the ladder's current service
-			// level. Full and capped classes keep the configured scheduler;
-			// greedy-level classes are planned afterwards — against whatever
-			// capacity the protected tiers left behind — with the cheap
-			// greedy planner. Requests whose class climbed to shed after
-			// they were admitted are clamped to greedy: admission decisions
-			// are not retroactive.
-			var mainIdx, degIdx []int
-			var mainLvl, degLvl []qos.Level
-			for i, r := range buffer {
-				lvl := s.qosCtl.Level(r.class)
-				if lvl > qos.LevelGreedy {
-					lvl = qos.LevelGreedy
-				}
-				if lvl == qos.LevelGreedy {
-					degIdx = append(degIdx, i)
-					degLvl = append(degLvl, lvl)
-				} else {
-					mainIdx = append(mainIdx, i)
-					mainLvl = append(mainLvl, lvl)
-				}
-			}
-			if len(mainIdx) > 0 {
-				commitGroup(mainIdx, mainLvl,
-					s.cfg.Scheduler.Schedule(t, mkInfos(mainIdx), mkAvail(), exec, s.cfg.Rewarder))
-			}
-			if len(degIdx) > 0 {
-				commitGroup(degIdx, degLvl,
-					s.degradedSched.Schedule(t, mkInfos(degIdx), mkAvail(), exec, s.cfg.Rewarder))
-			}
-		}
-		planned := len(buffer)
-		kept := buffer[:0]
-		for _, r := range buffer {
-			if !removed[r] {
-				kept = append(kept, r)
-			}
-		}
-		buffer = kept
-		if planned > 0 {
-			lastSlack = float64(len(buffer)) / float64(planned)
-		}
-		syncGauges()
-	}
+	missed := func(r *request) { s.resolve(r, Result{Missed: true}) }
 
 	shutdown := func() {
-		for _, r := range buffer {
-			s.resolve(r, Result{Missed: true})
-		}
-		buffer = nil
+		s.eng.Flush(missed)
 		//schemble:maporder-ok each in-flight request resolves independently to its own channel; no ordered output derives from this sweep
-		for r := range inflight {
-			s.resolve(r, Result{Missed: true})
-			delete(inflight, r)
+		for r := range c.inflight {
+			missed(r)
+			delete(c.inflight, r)
 		}
-		syncGauges()
+		c.syncGauges()
 		// Drain events that raced with shutdown so their requests still
 		// resolve. Blocked deadline timers resolve themselves via
 		// ctx.Done.
@@ -1544,7 +1342,7 @@ func (s *Server) coordinate(ctx context.Context) {
 			select {
 			case e := <-s.events:
 				if e.kind == evSubmit {
-					s.resolve(e.req, Result{Missed: true, Rejected: true})
+					s.reject(e.req)
 				}
 			default:
 				return
@@ -1561,18 +1359,19 @@ func (s *Server) coordinate(ctx context.Context) {
 			switch e.kind {
 			case evSubmit:
 				if draining {
-					s.resolve(e.req, Result{Missed: true, Rejected: true})
+					s.reject(e.req)
 					break
 				}
 				e.req.advance(stateBuffered)
-				buffer = append(buffer, e.req)
-				syncGauges()
+				s.eng.Buffer(e.req)
+				c.syncGauges()
 			case evTaskDone:
+				wall, now := s.clock()
 				if e.ran {
-					s.breakerRecord(e.k, !e.failed, now())
+					s.breakerRecord(e.k, !e.failed, now)
 				}
-				if pending[e.k] > 0 {
-					pending[e.k]--
+				if c.pending[e.k] > 0 {
+					c.pending[e.k]--
 				}
 				// Re-anchor the backlog estimate on the actual completion
 				// time so latency jitter cannot accumulate drift: the
@@ -1581,113 +1380,60 @@ func (s *Server) coordinate(ctx context.Context) {
 				// slot estimates sum to pending, preserving total
 				// capacity; with one replica this is the scalar
 				// now + pending*exec).
-				R := len(busyUntil[e.k])
-				anchor := now()
-				for i := range busyUntil[e.k] {
-					busyUntil[e.k][i] = anchor + time.Duration((pending[e.k]+i)/R)*exec[e.k]
+				R := len(c.busyUntil[e.k])
+				for i := range c.busyUntil[e.k] {
+					c.busyUntil[e.k][i] = now + time.Duration((c.pending[e.k]+i)/R)*c.exec[e.k]
 				}
 				if e.done {
-					r := e.req
-					delete(inflight, r)
-					syncGauges()
-					r.mu.Lock()
-					outs, okMask, sub, nfailed, lvl := r.outs, r.ok, r.subset, r.failed, r.level
-					r.mu.Unlock()
-					if okMask == ensemble.Empty {
-						// Every task failed permanently: nothing to
-						// aggregate.
-						s.resolve(r, Result{Subset: sub, Missed: true, Latency: latency(r)})
-					} else {
-						out := s.cfg.Ensemble.Predict(outs, okMask)
-						//schemble:wallclock lateness is judged against the wall-clock deadline set at Submit
-						late := time.Now().After(r.deadline)
-						if s.adapt != nil && !late && nfailed == 0 &&
-							lvl == qos.LevelFull && okMask == ensemble.Full(m) {
-							// Clean full-ensemble resolve: pair the raw score
-							// with the observed discrepancy for the
-							// recalibration reservoir (mirrors sim).
-							s.adapt.ObserveOutcome(now(), r.rawScore, outs, out)
-						}
-						s.resolve(r, Result{
-							Output: out,
-							Subset: okMask,
-							Missed: late,
-							// Degraded: some committed tasks failed, or the
-							// degradation ladder served the class a reduced
-							// plan (level above full).
-							Degraded: !late && (nfailed > 0 || lvl > qos.LevelFull),
-							Latency:  latency(r),
-						})
-					}
+					c.settle(e.req, now, wall.After(e.req.deadline))
 				}
 			case evDeadline:
 				r := e.req
 				r.mu.Lock()
 				started := r.state >= stateCommitted
 				committed := r.state == stateCommitted
-				outs, okMask, sub := r.outs, r.ok, r.subset
+				okMask, sub := r.ok, r.subset
 				r.mu.Unlock()
 				switch {
 				case !started:
 					// Never committed: drop from the buffer and miss.
-					for i, b := range buffer {
-						if b == r {
-							buffer = append(buffer[:i], buffer[i+1:]...)
-							break
-						}
-					}
-					s.resolve(r, Result{Missed: true})
-					syncGauges()
+					s.eng.Remove(r)
+					missed(r)
+					c.syncGauges()
 				case committed && s.tol.Degrade && okMask != ensemble.Empty && okMask != sub:
 					// Partial-ensemble degradation: the deadline arrived
-					// with some but not all subset outputs. Aggregate what
-					// completed and serve it degraded instead of missing.
-					// Still-running sibling tasks observe the resolved
-					// state and are skipped; exactly-once holds. (Writes
-					// to outs land on indices outside okMask, so the
-					// aggregation below never races them.)
-					out := s.cfg.Ensemble.Predict(outs, okMask)
-					delete(inflight, r)
-					s.resolve(r, Result{
-						Output:   out,
-						Subset:   okMask,
-						Degraded: true,
-						Latency:  latency(r),
-					})
-					syncGauges()
+					// with some but not all subset outputs. Settle on what
+					// completed, in time, instead of missing. Still-running
+					// sibling tasks observe the resolved state and are
+					// skipped; exactly-once holds.
+					_, now := s.clock()
+					c.settle(r, now, false)
 				}
 			case evDrain:
 				draining = true
 				// Uncommitted work cannot finish under drain: resolve it
 				// now. Committed work runs to completion.
-				for _, r := range buffer {
-					s.resolve(r, Result{Missed: true})
-				}
-				buffer = nil
-				syncGauges()
+				s.eng.Flush(missed)
+				c.syncGauges()
 			}
 			if draining {
-				if len(inflight) == 0 {
+				if len(c.inflight) == 0 {
 					// Last committed request resolved: complete the drain.
 					s.cancelRuntime()
 				}
 				continue
 			}
-			dispatch()
+			_, c.now = s.clock()
+			s.eng.Plan(c.now, c)
+			c.syncGauges()
 		}
 	}
 }
 
-// minSlot returns the earliest availability among a model's replica
-// slots.
-func minSlot(slots []time.Duration) time.Duration {
-	mn := slots[0]
-	for _, v := range slots[1:] {
-		if v < mn {
-			mn = v
-		}
-	}
-	return mn
+// reject resolves r as an explicit rejection and returns its channel.
+func (s *Server) reject(r *request) <-chan Result {
+	s.resolve(r, Result{Missed: true, Rejected: true})
+	return r.done
 }
 
 // resolve delivers a result exactly once; entering stateResolved is the
@@ -1706,8 +1452,7 @@ func (s *Server) resolve(r *request, res Result) {
 		// commit-time fields, then hand a copy to the observer outside the
 		// lock.
 		t := r.tr
-		//schemble:wallclock converts the resolution instant to virtual time against the Start anchor
-		t.Resolved = time.Duration(float64(time.Since(s.start)) / s.scale) //schemble:guardedby-ok start is written once in Start before the coordinator launches; reads are ordered by goroutine creation
+		_, t.Resolved = s.clock()
 		t.Latency = t.Resolved - t.Queued
 		t.Retries = int(r.obsRetries.Load())
 		t.Hedges = int(r.obsHedges.Load())
@@ -1729,13 +1474,6 @@ func (s *Server) resolve(r *request, res Result) {
 		trace = &c
 	}
 	r.mu.Unlock()
-	if s.cache != nil && r.cacheable && !res.Missed && !res.Degraded {
-		// Clean full-quality resolve of a cacheable miss: fill the entry
-		// so the next query in this centroid region hits.
-		//schemble:wallclock converts the resolution instant to virtual time against the Start anchor
-		vnow := time.Duration(float64(time.Since(s.start)) / s.scale) //schemble:guardedby-ok start is written once in Start before the coordinator launches; reads are ordered by goroutine creation
-		s.cache.Fill(vnow, r.cacheKey, rcache.Value{Output: res.Output, Subset: res.Subset})
-	}
 	switch {
 	case res.Rejected:
 		s.nRejected.Add(1)
@@ -1746,8 +1484,8 @@ func (s *Server) resolve(r *request, res Result) {
 	default:
 		s.nServed.Add(1)
 	}
-	if r.class >= 0 && s.classStats != nil {
-		cc := &s.classStats[r.class]
+	if r.tk.Class >= 0 && s.classStats != nil {
+		cc := &s.classStats[r.tk.Class]
 		switch {
 		case res.Rejected:
 			cc.rejected.Add(1)

@@ -17,6 +17,9 @@
 //     discrepancy predictor's latency and the scheduler's own compute cost
 //     are charged in virtual time.
 //
+// Admission, scoring, the cache gate, the planning pass and settlement
+// are internal/engine's; the simulator is its event-heap executor.
+//
 // Determinism: all latency jitter comes from a seeded rng.Source and the
 // event heap breaks time ties by sequence number, so a (Config, Trace) pair
 // always produces identical records.
@@ -30,10 +33,10 @@ import (
 	"schemble/internal/core"
 	"schemble/internal/dataset"
 	"schemble/internal/discrepancy"
+	"schemble/internal/engine"
 	"schemble/internal/ensemble"
 	"schemble/internal/metrics"
 	"schemble/internal/model"
-	"schemble/internal/obsv"
 	"schemble/internal/qos"
 	"schemble/internal/rcache"
 	"schemble/internal/rng"
@@ -104,30 +107,28 @@ type Config struct {
 	// model.DefaultBatchMarginal).
 	BatchMarginal float64
 
-	// Classes mirrors serve.Config.Classes: request classes with
-	// priorities, default deadlines and admission weights. Arrivals are
-	// mapped to classes by trace.Arrival.Class (unknown/empty names land
-	// in the lowest-priority class); under overload the shared qos
-	// controller sheds and degrades the lowest classes first, exactly as
-	// the concurrent runtime does. Classed mode requires buffered mode.
+	// Classes declares request classes with priorities, default
+	// deadlines and admission weights. Arrivals are mapped to classes by
+	// trace.Arrival.Class (unknown/empty names land in the lowest-priority
+	// class); under overload the engine's qos controller sheds and
+	// degrades the lowest classes first. Classed mode requires buffered
+	// mode.
 	Classes []qos.Class
-	// Admission tunes the overload controller (defaults like serve:
-	// capacity derived from mean latencies and replica counts).
+	// Admission tunes the overload controller (zero capacity: derived
+	// from mean latencies and replica counts).
 	Admission qos.Tuning
 
-	// Cache mirrors serve.Config.Cache: the difficulty-gated result cache
-	// (internal/rcache) with identical lookup/fill semantics — a hit
-	// finishes the query at arrival without dispatch, a cacheable miss
-	// fills the entry on a clean full-quality completion. The zero value
+	// Cache enables the difficulty-gated result cache (internal/rcache):
+	// a hit finishes the query at arrival without dispatch, a cacheable
+	// miss fills the entry on a clean on-time completion. The zero value
 	// disables caching. Cached mode requires buffered mode.
 	Cache rcache.Config
 
-	// Adapt mirrors serve.Config.Adapt: the online-adaptation layer
-	// (internal/adapt) — live latency quantile profiles feeding the
-	// scheduler's cost vector, drift detection, and incremental
-	// recalibration of the discrepancy predictor. The zero value
-	// disables adaptation and keeps runs bit-identical. Requires
-	// buffered mode.
+	// Adapt enables the online-adaptation layer (internal/adapt): live
+	// latency quantile profiles feeding the scheduler's cost vector,
+	// drift detection, and incremental recalibration of the discrepancy
+	// predictor. The zero value disables adaptation and keeps runs
+	// bit-identical. Requires buffered mode.
 	Adapt adapt.Config
 
 	// Drift injects a deterministic service-time drift schedule
@@ -182,32 +183,21 @@ func (h *eventHeap) Pop() interface{} {
 	return e
 }
 
+// query is one arrival. Its ticket ID is the arrival index, which is also
+// its record's index.
 type query struct {
-	id       int
-	sample   *dataset.Sample
-	arrival  time.Duration
-	deadline time.Duration
-	score    float64
-	// rawScore is the predictor's uncalibrated score (equal to score
-	// when adaptation is off); the recalibration reservoir pairs it with
-	// the observed discrepancy.
-	rawScore float64
-	// class is the query's class index (-1 classless); level is the
-	// ladder service level it was committed at.
-	class int
-	level qos.Level
+	tk     engine.Ticket
+	sample *dataset.Sample
 
 	committed bool
 	subset    ensemble.Subset
 	remaining int
 	outs      []model.Output
 	finished  bool
-
-	// cacheable marks a query whose cache lookup missed; cacheKey is the
-	// entry it fills on a clean completion.
-	cacheable bool
-	cacheKey  int
 }
+
+// Ticket implements engine.Request.
+func (q *query) Ticket() *engine.Ticket { return &q.tk }
 
 type task struct {
 	q       *query
@@ -228,7 +218,8 @@ type server struct {
 	backlogEnd time.Duration
 }
 
-// sim is one run's mutable state.
+// sim is one run's mutable state. It is the engine's executor: the
+// planning pass reads its replica backlogs and commits through it.
 type sim struct {
 	cfg     Config
 	samples []*dataset.Sample
@@ -239,29 +230,19 @@ type sim struct {
 	servers []*server
 	// byType[j] lists server indices of model type j.
 	byType [][]int
-	exec   []time.Duration // mean exec per model type
+	// exec is the engine's working cost vector (mean exec per model type
+	// plus the estimate margin, refreshed by adaptation); avail is the
+	// capacity view's reused storage.
+	exec  []time.Duration
+	avail core.Capacity
 
-	buffer      []*query
+	eng         *engine.Engine[*query]
 	planPending bool
 	batch       model.BatchCurve
 
 	src     *rng.Source
 	records []metrics.Record
 	tr      *trace.Trace
-
-	// qosCtl is the overload controller shared (by construction, not by
-	// instance) with the serve runtime; always non-nil, estimator-only
-	// when Classes is empty. degradedSched plans greedy-level classes;
-	// lastSlack is the previous pass's unplanned-buffer fraction.
-	qosCtl        *qos.Controller
-	degradedSched *core.Greedy
-	lastSlack     float64
-
-	// cache is the result cache, nil when Config.Cache is the zero value.
-	cache *rcache.Cache
-	// adapt is the online-adaptation engine, nil when Config.Adapt is
-	// the zero value.
-	adapt *adapt.Engine
 }
 
 // Run simulates the trace against the configured pipeline and returns one
@@ -305,7 +286,6 @@ func RunAdapt(cfg Config, tr *trace.Trace, samples []*dataset.Sample) ([]metrics
 		tr:      tr,
 		records: make([]metrics.Record, tr.N()),
 		batch:   model.BatchCurve{Marginal: cfg.BatchMarginal},
-		cache:   rcache.New(cfg.Cache),
 	}
 	m := cfg.Ensemble.M()
 	replicas := cfg.Replicas
@@ -324,40 +304,30 @@ func RunAdapt(cfg Config, tr *trace.Trace, samples []*dataset.Sample) ([]metrics
 		margin = 0
 	}
 	s.byType = make([][]int, m)
-	s.exec = make([]time.Duration, m)
-	profiled := make([]time.Duration, m)
+	s.avail = make(core.Capacity, m)
+	exec := make([]time.Duration, m)
 	for j := 0; j < m; j++ {
-		profiled[j] = cfg.Ensemble.Models[j].MeanLatency()
-		s.exec[j] = time.Duration(float64(profiled[j]) * (1 + margin))
+		exec[j] = time.Duration(float64(cfg.Ensemble.Models[j].MeanLatency()) * (1 + margin))
 		for r := 0; r < replicas[j]; r++ {
 			s.byType[j] = append(s.byType[j], len(s.servers))
 			s.servers = append(s.servers, &server{typeIdx: j, replica: r})
 		}
+		s.avail[j] = make([]time.Duration, replicas[j])
 	}
-	// The engine copies profiled/exec, so later ExecInto refreshes of
-	// s.exec never corrupt the frozen baseline.
-	s.adapt = adapt.New(cfg.Adapt, profiled, s.exec, replicas)
-	adm := cfg.Admission
-	if adm.Capacity <= 0 {
-		// Mirror serve.bottleneckCapacity: the slowest pool's throughput.
-		for j := 0; j < m; j++ {
-			lat := cfg.Ensemble.Models[j].MeanLatency().Seconds()
-			if lat <= 0 {
-				continue
-			}
-			c := float64(replicas[j]) / lat
-			if adm.Capacity <= 0 || c < adm.Capacity {
-				adm.Capacity = c
-			}
-		}
-		if adm.Capacity <= 0 {
-			adm.Capacity = 1
-		}
-	}
-	s.qosCtl = qos.New(qos.Config{Classes: cfg.Classes, Tuning: adm})
-	if len(cfg.Classes) > 0 {
-		s.degradedSched = &core.Greedy{Order: core.EDF}
-	}
+	s.eng = engine.New[*query](engine.Config{
+		Ensemble:    cfg.Ensemble,
+		Scheduler:   cfg.Scheduler,
+		Rewarder:    cfg.Rewarder,
+		Estimator:   cfg.Estimator,
+		Replicas:    replicas,
+		Exec:        exec,
+		Classes:     cfg.Classes,
+		Admission:   cfg.Admission,
+		Cache:       cfg.Cache,
+		Adapt:       cfg.Adapt,
+		ForgiveLate: cfg.ForceProcess,
+	})
+	s.exec = s.eng.Exec()
 	for i := range tr.Arrivals {
 		s.push(&event{at: tr.Arrivals[i].At, kind: evArrival, arrIdx: i})
 	}
@@ -367,12 +337,12 @@ func RunAdapt(cfg Config, tr *trace.Trace, samples []*dataset.Sample) ([]metrics
 		s.handle(e)
 	}
 	var snap rcache.Snapshot
-	if s.cache != nil {
-		snap = s.cache.Snapshot()
+	if c := s.eng.Cache(); c != nil {
+		snap = c.Snapshot()
 	}
 	var asnap *adapt.Snapshot
-	if s.adapt != nil {
-		asnap = s.adapt.Snapshot()
+	if a := s.eng.Adapt(); a != nil {
+		asnap = a.Snapshot()
 	}
 	return s.records, snap, asnap
 }
@@ -398,18 +368,18 @@ func (s *sim) handle(e *event) {
 		if e.q.committed || e.q.finished {
 			break
 		}
-		if !s.cfg.ForceProcess && e.q.deadline <= s.now {
+		if !s.cfg.ForceProcess && e.q.tk.Deadline <= s.now {
 			break
 		}
-		s.buffer = append(s.buffer, e.q)
+		s.eng.Buffer(e.q)
 		s.schedulePlan()
 	case evTaskDone:
-		if s.adapt != nil {
-			// Observe before resolving, mirroring serve: the worker
-			// records its latency before the coordinator processes the
-			// completion (and possibly refits at an epoch boundary).
+		if a := s.eng.Adapt(); a != nil {
+			// Observe before settling: the completion's latency is part
+			// of the state the settlement (and a refit at an epoch
+			// boundary) sees.
 			sv := s.servers[e.server]
-			s.adapt.ObserveLatency(s.now, sv.typeIdx, sv.replica, e.dur)
+			a.ObserveLatency(s.now, sv.typeIdx, sv.replica, e.dur)
 		}
 		s.finishTask(e.q)
 		s.onTaskDone(e.server)
@@ -417,35 +387,30 @@ func (s *sim) handle(e *event) {
 		s.onDeadline(e.q)
 	case evPlan:
 		s.planPending = false
-		s.planAndDispatch()
+		if s.eng.Plan(s.now, s) > 0 {
+			// Committing may have left other planned queries adjacent to
+			// idle servers; re-plan cheaply at the same instant.
+			s.schedulePlan()
+		}
 	}
 }
 
 // onArrival admits a new query in the appropriate mode.
 func (s *sim) onArrival(arrIdx int) {
 	a := s.tr.Arrivals[arrIdx]
-	q := &query{
-		id:       arrIdx,
-		sample:   s.samples[a.SampleIdx],
-		arrival:  a.At,
-		deadline: a.Deadline,
-		class:    s.qosCtl.ClassIndex(a.Class),
-	}
+	q := &query{sample: s.samples[a.SampleIdx]}
+	s.eng.Open(&q.tk, arrIdx, a.Class, a.At, a.Deadline-a.At)
 	var className string
-	if q.class >= 0 {
-		cls := s.qosCtl.Class(q.class)
-		className = cls.Name
-		if q.deadline <= q.arrival {
-			// Per-class default deadline, mirroring serve.SubmitClass.
-			q.deadline = q.arrival + cls.Deadline
-		}
+	if q.tk.Class >= 0 {
+		className = s.eng.QoS().Class(q.tk.Class).Name
 	}
-	s.records[q.id] = metrics.Record{
-		QueryID:  q.id,
+	rec := &s.records[arrIdx]
+	*rec = metrics.Record{
+		QueryID:  arrIdx,
 		SampleID: q.sample.ID,
 		CameraID: q.sample.CameraID,
-		Arrival:  q.arrival,
-		Deadline: q.deadline,
+		Arrival:  q.tk.Arrival,
+		Deadline: q.tk.Deadline,
 		Missed:   true, // flipped on successful completion
 		Class:    className,
 	}
@@ -453,63 +418,33 @@ func (s *sim) onArrival(arrIdx int) {
 		s.immediateAdmit(q)
 		return
 	}
-	// Admission control at arrival, before any scoring work — mirroring
-	// serve.SubmitClass. A shed query records an explicit rejection.
-	if q.class >= 0 && !s.qosCtl.Admit(s.now, q.class) {
-		s.records[q.id].Rejected = true
+	if !s.eng.Admit(s.now, &q.tk) {
+		rec.Rejected = true
 		return
 	}
 	// Fast path (Exp-5): empty buffer + an idle replica of the fastest
 	// model -> bypass scoring and scheduling, dispatch now.
-	if s.cfg.FastFirst && len(s.buffer) == 0 {
-		fastest := 0
-		for j := 1; j < s.cfg.Ensemble.M(); j++ {
-			if s.exec[j] < s.exec[fastest] {
-				fastest = j
-			}
-		}
-		if s.anyIdle(fastest) {
-			s.commit(q, ensemble.Single(fastest))
+	if s.cfg.FastFirst && s.eng.Len() == 0 {
+		if f := s.fastest(); s.Idle(s.now, f) {
+			s.commit(q, ensemble.Single(f))
 			return
 		}
 	}
-	// Buffered mode: the query becomes schedulable once the discrepancy
-	// predictor has scored it.
-	if s.cfg.Estimator != nil {
-		q.score = s.cfg.Estimator.Predict(q.sample)
-		q.rawScore = q.score
-		if s.adapt != nil {
-			// Feed the raw score to the drift detector, then plan (and
-			// gate the cache) on the recalibrated score — mirroring
-			// serve.SubmitClass exactly.
-			s.adapt.ObserveScore(s.now, q.rawScore)
-			q.score = s.adapt.Calibrate(q.rawScore)
-		}
+	if v, hit := s.eng.Score(s.now, &q.tk, q.sample); hit {
+		// The query finishes at arrival from the cached answer; no
+		// ready/deadline events are ever pushed.
+		q.finished = true
+		rec.Done = s.now
+		rec.Subset = v.Subset
+		rec.Missed = false
+		rec.Cached = true
+		rec.Agreement = s.cfg.Scorer.Score(v.Output, s.cfg.Refs[q.sample.ID])
+		return
 	}
-	if s.cache != nil {
-		v, key, outcome := s.cache.Lookup(s.now, q.sample.Features, q.score)
-		// Exhaustive over the cache taxonomy (enforced by the
-		// exhaustiveoutcome analyzer), mirroring serve.SubmitClass.
-		switch outcome {
-		case obsv.CacheOutcomeHit:
-			// Zero-cost plan: the query finishes at arrival from the
-			// cached answer; no ready/deadline events are ever pushed.
-			q.finished = true
-			rec := &s.records[q.id]
-			rec.Done = s.now
-			rec.Subset = v.Subset
-			rec.Missed = false
-			rec.Cached = true
-			rec.Agreement = s.cfg.Scorer.Score(v.Output, s.cfg.Refs[q.sample.ID])
-			return
-		case obsv.CacheOutcomeMiss:
-			q.cacheable, q.cacheKey = true, key
-		case obsv.CacheOutcomeBypass:
-			// Too hard (or unkeyable): the ensemble always runs.
-		}
-	}
+	// The query becomes schedulable once the discrepancy predictor has
+	// scored it.
 	s.push(&event{at: s.now + s.cfg.ScoreDelay, kind: evReady, q: q})
-	s.push(&event{at: q.deadline, kind: evDeadline, q: q})
+	s.push(&event{at: q.tk.Deadline, kind: evDeadline, q: q})
 }
 
 // immediateAdmit implements the arrival path of the immediate-selection
@@ -519,33 +454,17 @@ func (s *sim) immediateAdmit(q *query) {
 	if sub == ensemble.Empty {
 		return // policy rejected outright; record stays missed
 	}
-	// Choose the least-backlogged replica per selected type and estimate
-	// completion.
-	chosen := make([]int, 0, sub.Size())
+	// Estimate completion on the least-backlogged replica of each
+	// selected type — where commit will enqueue the tasks.
 	var est time.Duration
 	for _, j := range sub.Models() {
-		best := s.leastBacklogged(j)
-		sv := s.servers[best]
-		start := sv.backlogEnd
-		if start < s.now {
-			start = s.now
-		}
-		finish := start + s.exec[j]
-		if finish > est {
-			est = finish
-		}
-		chosen = append(chosen, best)
+		sv := s.servers[s.leastBacklogged(j)]
+		est = max(est, max(sv.backlogEnd, s.now)+s.exec[j])
 	}
-	if !s.cfg.ForceProcess && est > q.deadline {
+	if !s.cfg.ForceProcess && est > q.tk.Deadline {
 		return // rejected: estimated completion exceeds the deadline
 	}
-	q.committed = true
-	q.subset = sub
-	q.remaining = len(chosen)
-	q.outs = make([]model.Output, s.cfg.Ensemble.M())
-	for _, si := range chosen {
-		s.enqueue(si, &task{q: q, typeIdx: s.servers[si].typeIdx})
-	}
+	s.commit(q, sub)
 }
 
 // enqueue appends a task to a server's FIFO queue and starts it if idle.
@@ -609,180 +528,89 @@ func (s *sim) onTaskDone(si int) {
 	}
 }
 
-// finishTask is invoked from handle for evTaskDone before queue advance.
+// finishTask is invoked from handle for evTaskDone before queue advance;
+// the query's last task settles it. Simulated models never fail, so the
+// succeeded mask is the committed subset.
 func (s *sim) finishTask(q *query) {
 	q.remaining--
 	if q.remaining > 0 || q.finished {
 		return
 	}
 	q.finished = true
-	rec := &s.records[q.id]
+	v := s.eng.Settle(s.now, &q.tk, q.subset, q.subset, q.outs, s.now > q.tk.Deadline)
+	rec := &s.records[q.tk.ID]
 	rec.Done = s.now
-	rec.Subset = q.subset
-	late := s.now > q.deadline
-	if late && !s.cfg.ForceProcess {
-		// Completed after the deadline: counts as a miss.
+	rec.Subset = v.Subset
+	if v.Missed {
 		return
 	}
 	rec.Missed = false
-	// A ladder-capped plan is reduced-quality service, mirroring
-	// serve's Result.Degraded.
-	rec.Degraded = q.level > qos.LevelFull
-	out := s.cfg.Ensemble.Predict(q.outs, q.subset)
-	rec.Agreement = s.cfg.Scorer.Score(out, s.cfg.Refs[q.sample.ID])
-	if s.adapt != nil && !late && !rec.Degraded &&
-		q.subset == ensemble.Full(s.cfg.Ensemble.M()) {
-		// Clean full-ensemble completion: the true discrepancy score is
-		// computable, so feed the recalibration reservoir — mirroring
-		// the serve coordinator's done branch.
-		s.adapt.ObserveOutcome(s.now, q.rawScore, q.outs, out)
-	}
-	if s.cache != nil && q.cacheable && !rec.Degraded {
-		// Clean full-quality completion of a cacheable miss: fill the
-		// entry, mirroring serve.resolve.
-		s.cache.Fill(s.now, q.cacheKey, rcache.Value{Output: out, Subset: q.subset})
-	}
+	rec.Degraded = v.Degraded
+	rec.Agreement = s.cfg.Scorer.Score(v.Output, s.cfg.Refs[q.sample.ID])
 }
 
 // schedulePlan coalesces planning requests: at most one pending evPlan.
 func (s *sim) schedulePlan() {
-	if s.planPending || len(s.buffer) == 0 {
+	if s.planPending || s.eng.Len() == 0 {
 		return
 	}
 	var overhead time.Duration
 	if s.cfg.SchedOverhead != nil {
-		overhead = s.cfg.SchedOverhead(len(s.buffer))
+		overhead = s.cfg.SchedOverhead(s.eng.Len())
 	}
 	s.planPending = true
 	s.push(&event{at: s.now + overhead, kind: evPlan})
 }
 
-// planAndDispatch runs the scheduler over the buffer and commits queries to
-// idle servers in EDF order.
-func (s *sim) planAndDispatch() {
-	// Feed the overload controller (backlog + previous pass's slack)
-	// before planning, mirroring the serve coordinator's dispatch.
-	backlog := len(s.buffer)
+// Backlog implements engine.Executor: queued plus running tasks.
+func (s *sim) Backlog() int {
+	n := 0
 	for _, sv := range s.servers {
-		backlog += len(sv.queue)
+		n += len(sv.queue)
 		if sv.running {
-			backlog++
+			n++
 		}
 	}
-	s.qosCtl.Observe(s.now, backlog, s.lastSlack)
-	if s.adapt != nil {
-		// Refresh the live cost vector before planning: the scheduler,
-		// ladder truncation and backlog re-anchoring below all read
-		// s.exec, so the whole pass plans against one consistent view.
-		s.adapt.ExecInto(s.exec)
-	}
-	if len(s.buffer) == 0 {
-		return
-	}
-	m := s.cfg.Ensemble.M()
-	mkAvail := func() core.Capacity {
-		avail := make(core.Capacity, m)
-		for j := 0; j < m; j++ {
-			slots := make([]time.Duration, len(s.byType[j]))
-			for i, si := range s.byType[j] {
-				slots[i] = s.servers[si].backlogEnd
-			}
-			avail[j] = slots
-		}
-		return avail
-	}
-	mkInfos := func(group []*query) []core.QueryInfo {
-		infos := make([]core.QueryInfo, len(group))
-		for i, q := range group {
-			infos[i] = core.QueryInfo{
-				ID: q.id, Arrival: q.arrival, Deadline: q.deadline, Score: q.score,
-			}
-		}
-		return infos
-	}
-	committed := map[int]bool{}
-	// dispatchGroup walks a planned group in EDF order; a query commits as
-	// soon as one of its planned models has an idle replica (its other
-	// tasks queue behind busy replicas, the paper's per-model task
-	// buffer). lvl caps committed subsets per the degradation ladder.
-	dispatchGroup := func(group []*query, lvl map[int]qos.Level, plan core.Plan) {
-		order := make([]*query, len(group))
-		copy(order, group)
-		sortQueriesEDF(order)
-		for _, q := range order {
-			if q.committed || q.finished {
-				// Defensive: a committed query must never be re-dispatched.
-				committed[q.id] = true
-				continue
-			}
-			sub := plan.Subset(q.id)
-			if sub == ensemble.Empty {
-				continue
-			}
-			if l := lvl[q.id]; l > qos.LevelFull {
-				sub = qos.TruncateSubset(sub, qos.SubsetCap(l, m), s.exec)
-			}
-			anyIdle := false
-			for _, j := range sub.Models() {
-				if s.anyIdle(j) {
-					anyIdle = true
-					break
-				}
-			}
-			if !anyIdle {
-				continue
-			}
-			q.level = lvl[q.id]
-			s.commit(q, sub)
-			committed[q.id] = true
-		}
-	}
-	if s.degradedSched == nil {
-		// Classless: one plan over the whole buffer, as before.
-		dispatchGroup(s.buffer, nil,
-			s.cfg.Scheduler.Schedule(s.now, mkInfos(s.buffer), mkAvail(), s.exec, s.cfg.Rewarder))
-	} else {
-		// Classed: full/capped classes keep the configured scheduler;
-		// greedy-level classes are planned afterwards against the capacity
-		// the protected tiers left behind — mirroring the serve
-		// coordinator. Shed-level buffered queries clamp to greedy
-		// (admission is not retroactive).
-		var main, deg []*query
-		mainLvl, degLvl := map[int]qos.Level{}, map[int]qos.Level{}
-		for _, q := range s.buffer {
-			lvl := s.qosCtl.Level(q.class)
-			if lvl > qos.LevelGreedy {
-				lvl = qos.LevelGreedy
-			}
-			if lvl == qos.LevelGreedy {
-				deg = append(deg, q)
-				degLvl[q.id] = lvl
-			} else {
-				main = append(main, q)
-				mainLvl[q.id] = lvl
-			}
-		}
-		if len(main) > 0 {
-			dispatchGroup(main, mainLvl,
-				s.cfg.Scheduler.Schedule(s.now, mkInfos(main), mkAvail(), s.exec, s.cfg.Rewarder))
-		}
-		if len(deg) > 0 {
-			dispatchGroup(deg, degLvl,
-				s.degradedSched.Schedule(s.now, mkInfos(deg), mkAvail(), s.exec, s.cfg.Rewarder))
-		}
-	}
-	s.lastSlack = float64(len(s.buffer)-len(committed)) / float64(len(s.buffer))
-	if len(committed) > 0 {
-		s.buffer = filterQueries(s.buffer, func(q *query) bool { return !committed[q.id] })
-		// Committing may have left other planned queries adjacent to idle
-		// servers; re-plan cheaply at the same instant.
-		s.schedulePlan()
-	}
+	return n
 }
 
-// commit locks a buffered query onto a subset and enqueues its tasks.
-// Committing is idempotent-by-refusal: a second commit would re-enqueue
-// tasks and reset remaining/outs, so it is rejected outright.
+// Capacity implements engine.Executor: every replica's backlog end.
+func (s *sim) Capacity() core.Capacity {
+	for j, sis := range s.byType {
+		for i, si := range sis {
+			s.avail[j][i] = s.servers[si].backlogEnd
+		}
+	}
+	return s.avail
+}
+
+// Blocked implements engine.Executor: simulated models never fail.
+func (s *sim) Blocked(time.Duration) ensemble.Subset { return ensemble.Empty }
+
+// Idle implements engine.Executor: some replica of model type j is idle
+// with an empty queue.
+func (s *sim) Idle(_ time.Duration, j int) bool {
+	for _, si := range s.byType[j] {
+		sv := s.servers[si]
+		if !sv.running && len(sv.queue) == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// Dispatch implements engine.Executor; the simulator never refuses.
+func (s *sim) Dispatch(q *query, sub ensemble.Subset) bool {
+	s.commit(q, sub)
+	return true
+}
+
+// Reject implements engine.Executor; unreachable, Dispatch never refuses.
+func (s *sim) Reject(*query) {}
+
+// commit locks a query onto a subset and enqueues its tasks. Committing
+// is idempotent-by-refusal: a second commit would re-enqueue tasks and
+// reset remaining/outs, so it is rejected outright.
 func (s *sim) commit(q *query, sub ensemble.Subset) {
 	if q.committed {
 		return
@@ -809,16 +637,16 @@ func (s *sim) leastBacklogged(j int) int {
 	return best
 }
 
-// anyIdle reports whether any replica of model type j is idle with an
-// empty queue.
-func (s *sim) anyIdle(j int) bool {
-	for _, si := range s.byType[j] {
-		sv := s.servers[si]
-		if !sv.running && len(sv.queue) == 0 {
-			return true
+// fastest returns the model type with the smallest planning cost, ties
+// broken by index.
+func (s *sim) fastest() int {
+	f := 0
+	for j := 1; j < len(s.exec); j++ {
+		if s.exec[j] < s.exec[f] {
+			f = j
 		}
 	}
-	return false
+	return f
 }
 
 // onDeadline handles a buffered query's deadline passing uncommitted.
@@ -826,41 +654,11 @@ func (s *sim) onDeadline(q *query) {
 	if q.committed || q.finished {
 		return
 	}
-	s.buffer = filterQueries(s.buffer, func(x *query) bool { return x != q })
+	s.eng.Remove(q)
 	if s.cfg.ForceProcess {
 		// Fall back to the fastest single model; latency is recorded,
 		// the query is not counted as missed.
-		fastest := 0
-		for j := 1; j < s.cfg.Ensemble.M(); j++ {
-			if s.exec[j] < s.exec[fastest] {
-				fastest = j
-			}
-		}
-		s.commit(q, ensemble.Single(fastest))
+		s.commit(q, ensemble.Single(s.fastest()))
 	}
 	// Otherwise the record simply stays missed.
-}
-
-func sortQueriesEDF(qs []*query) {
-	for i := 1; i < len(qs); i++ {
-		for j := i; j > 0; j-- {
-			a, b := qs[j-1], qs[j]
-			if b.deadline < a.deadline ||
-				(b.deadline == a.deadline && b.id < a.id) {
-				qs[j-1], qs[j] = qs[j], qs[j-1]
-			} else {
-				break
-			}
-		}
-	}
-}
-
-func filterQueries(qs []*query, keep func(*query) bool) []*query {
-	out := qs[:0]
-	for _, q := range qs {
-		if keep(q) {
-			out = append(out, q)
-		}
-	}
-	return out
 }
